@@ -8,19 +8,15 @@
 #   ./ci.sh          the full gate: fast tier + release build/tests, then
 #                    the smoke gates (detlint --dynamic, obs_smoke,
 #                    chaos_smoke, mc_smoke, trace_smoke, mega_smoke,
-#                    par_smoke, perf_gate) run *concurrently* against the
-#                    release binaries, with per-gate logs replayed in a
-#                    fixed order once all of them finish
+#                    perf_gate) run *concurrently* against the release
+#                    binaries, with per-gate logs replayed in a fixed
+#                    order once all of them finish
 #
 # The 10⁵/10⁶-clients-per-site scale points stay out of CI; run them with
-# `cargo run --release -p gdur-bench --bin perf_gate -- --mega`. The
-# parallel-kernel thread sweep is likewise on demand:
-# `cargo run --release -p gdur-bench --bin perf_gate -- --par`.
+# `cargo run --release -p gdur-bench --bin perf_gate -- --mega`.
 #
 # Each step reports its wall-clock seconds; SKIP_PERF_GATE=1 skips the
 # wall-clock regression gate (it only means something on an idle machine).
-# GDUR_KERNEL_THREADS sets the worker count the byte-identity gates
-# (par_smoke, detlint --dynamic) cross-check against sequential (default 4).
 set -eu
 
 cd "$(dirname "$0")"
@@ -87,14 +83,13 @@ spawn_gate() {
     ) &
 }
 
-GATES="detlint obs_smoke chaos_smoke mc_smoke trace_smoke mega_smoke par_smoke"
+GATES="detlint obs_smoke chaos_smoke mc_smoke trace_smoke mega_smoke"
 spawn_gate detlint ./target/release/detlint --dynamic
 spawn_gate obs_smoke ./target/release/obs_smoke
 spawn_gate chaos_smoke ./target/release/chaos_smoke
 spawn_gate mc_smoke ./target/release/mc_smoke
 spawn_gate trace_smoke ./target/release/trace_smoke
 spawn_gate mega_smoke ./target/release/mega_smoke
-spawn_gate par_smoke ./target/release/par_smoke
 
 # Wall-clock regression gate against the blessed reference in
 # BENCH_sim.json. Skippable because wall-clock is only meaningful on an

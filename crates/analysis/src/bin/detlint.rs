@@ -6,8 +6,9 @@
 //! ```
 //!
 //! Exits non-zero when any unsuppressed finding remains (see
-//! `detlint.allow` at the workspace root for the suppression format) or
-//! when two identically-seeded runs of any library protocol diverge.
+//! `detlint.allow` at the workspace root for the suppression format), when
+//! an allow entry suppresses no finding, or when two identically-seeded
+//! runs of any library protocol diverge.
 
 use std::path::Path;
 
@@ -23,18 +24,24 @@ fn main() {
 
     println!("detlint: scanning {} …", discover_roots(&root).join(", "));
     let allow = Allowlist::load(&root);
-    let findings = scan_workspace(&root, &allow);
+    let mut findings = scan_workspace(&root);
+    let stale = allow.stale(&findings);
+    findings.retain(|f| !allow.allows(f));
     for f in &findings {
         println!("{f}");
     }
-    let mut failed = !findings.is_empty();
-    if failed {
+    for entry in &stale {
+        println!("detlint.allow: `{entry}` suppresses no finding; delete it");
+    }
+    let mut failed = !findings.is_empty() || !stale.is_empty();
+    if !findings.is_empty() {
         println!(
             "detlint: {} finding(s); convert to BTreeMap/BTreeSet, seed the RNG, \
              use virtual time — or add a justified line to detlint.allow",
             findings.len()
         );
-    } else {
+    }
+    if !failed {
         println!("detlint: sources clean");
     }
 
@@ -52,19 +59,6 @@ fn main() {
         println!("detlint: running the chaos fault-schedule library twice …");
         match gdur_analysis::chaos_same_seed_check() {
             Ok(()) => println!("detlint: chaos runs deterministic (traces byte-identical)"),
-            Err(e) => {
-                println!("detlint: DETERMINISM VIOLATION: {e}");
-                failed = true;
-            }
-        }
-        let threads: usize = std::env::var("GDUR_KERNEL_THREADS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&n| n > 1)
-            .unwrap_or(4);
-        println!("detlint: cross-checking the sequential vs {threads}-thread kernel …");
-        match gdur_analysis::par_same_seed_check(threads, 7) {
-            Ok(()) => println!("detlint: {threads}-thread kernel byte-identical to sequential"),
             Err(e) => {
                 println!("detlint: DETERMINISM VIOLATION: {e}");
                 failed = true;

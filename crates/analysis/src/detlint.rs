@@ -4,7 +4,7 @@
 //!
 //! G-DUR's analysis story (§7–§8) rests on reproducibility: the same seed
 //! must yield the same history, or A/B comparisons between plug-ins
-//! measure noise and the consistency oracle chases phantoms. Three
+//! measure noise and the consistency oracle chases phantoms. Four
 //! construct families break that property:
 //!
 //! * **`HASH-DECL` / `HASH-ITER`** — `HashMap`/`HashSet` declarations and
@@ -17,14 +17,14 @@
 //! * **`WALL-CLOCK`** — `SystemTime::now()` / `Instant::now()` read the
 //!   host clock; simulated code must use the virtual clock (`SimTime`).
 //! * **`THREAD`** — `thread::spawn` / `thread::scope` introduce host
-//!   scheduling into the run. The only sanctioned uses are the kernel's
-//!   own lookahead-sharded workers (whose merge step restores the exact
-//!   sequential order) and harness code that runs *whole simulations* in
-//!   parallel; anything else must justify itself in `detlint.allow`.
+//!   scheduling into the run. The only sanctioned use is harness code that
+//!   runs *whole simulations* concurrently, each single-threaded and
+//!   seeded; the kernel itself is one sequential event loop.
 //!
 //! The scan is line-based and deliberately simple: false positives are
 //! silenced through the `detlint.allow` file at the workspace root, never
-//! by weakening a pattern.
+//! by weakening a pattern. An allow entry that suppresses nothing is itself
+//! a failure, so no excuse outlives the code it excused.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -92,11 +92,22 @@ impl Allowlist {
 
     /// True when `finding` is suppressed.
     pub fn allows(&self, finding: &Finding) -> bool {
-        let path = finding.file.to_string_lossy();
+        self.entries.iter().any(|e| entry_matches(e, finding))
+    }
+
+    /// The entries, as `CODE path-substring`, that suppress none of
+    /// `findings` (the unfiltered scan).
+    pub fn stale(&self, findings: &[Finding]) -> Vec<String> {
         self.entries
             .iter()
-            .any(|(code, frag)| code == finding.code && path.contains(frag.as_str()))
+            .filter(|e| !findings.iter().any(|f| entry_matches(e, f)))
+            .map(|(code, frag)| format!("{code} {frag}"))
+            .collect()
     }
+}
+
+fn entry_matches((code, frag): &(String, String), finding: &Finding) -> bool {
+    code == finding.code && finding.file.to_string_lossy().contains(frag.as_str())
 }
 
 /// Workspace members the scan skips entirely. Only *vendored* code
@@ -169,8 +180,8 @@ fn manifest_members(manifest: &str) -> Vec<String> {
 }
 
 /// Scans the discovered workspace source roots under `workspace_root`,
-/// returning unsuppressed findings sorted by path and line.
-pub fn scan_workspace(workspace_root: &Path, allow: &Allowlist) -> Vec<Finding> {
+/// returning every finding, allowlisted or not, sorted by path and line.
+pub fn scan_workspace(workspace_root: &Path) -> Vec<Finding> {
     let mut findings = Vec::new();
     for root in discover_roots(workspace_root) {
         let dir = workspace_root.join(&root);
@@ -190,7 +201,6 @@ pub fn scan_workspace(workspace_root: &Path, allow: &Allowlist) -> Vec<Finding> 
             findings.extend(scan_source(&rel, &text));
         }
     }
-    findings.retain(|f| !allow.allows(f));
     findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     findings
 }
@@ -423,5 +433,31 @@ thread::scope(|s| {
         assert!(allow.allows(&f));
         let other = Allowlist::parse("WALL-CLOCK crates/core\n");
         assert!(!other.allows(&f));
+    }
+
+    #[test]
+    fn allowlist_reports_stale_entries() {
+        let f = Finding {
+            file: PathBuf::from("crates/harness/src/experiment.rs"),
+            line: 9,
+            code: "THREAD",
+            excerpt: String::new(),
+        };
+        let allow = Allowlist::parse(
+            "THREAD crates/harness/src/experiment.rs\nTHREAD crates/sim/src/kernel/par.rs\n\
+             WALL-CLOCK crates/harness/src/experiment.rs\n",
+        );
+        assert_eq!(
+            allow.stale(std::slice::from_ref(&f)),
+            vec![
+                "THREAD crates/sim/src/kernel/par.rs",
+                "WALL-CLOCK crates/harness/src/experiment.rs"
+            ]
+        );
+        assert_eq!(
+            allow.stale(&[]).len(),
+            3,
+            "no findings: every entry is stale"
+        );
     }
 }

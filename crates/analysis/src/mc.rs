@@ -136,10 +136,6 @@ fn build_cluster(cfg: &McConfig) -> Cluster {
         client_think_time: None,
         record_txn_metrics: true,
         seed: cfg.seed,
-        // Model checking explores one arrival reordering at a time; the
-        // scheduler hook forces the sequential kernel regardless.
-        kernel_threads: 1,
-        jitter: None,
         bug_unreserved_commit_clocks: cfg.reintroduce_psi_bug,
     };
     Cluster::build(ccfg, move |_idx, site| {

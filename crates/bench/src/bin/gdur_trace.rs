@@ -43,8 +43,6 @@ fn scale(clients: usize) -> Scale {
         cores: 4,
         seed: 7,
         client_pooling: false,
-        kernel_threads: 1,
-        jitter: None,
     }
 }
 

@@ -28,8 +28,6 @@ fn smoke_scale() -> Scale {
         cores: 4,
         seed: 7,
         client_pooling: false,
-        kernel_threads: 1,
-        jitter: None,
     }
 }
 

@@ -92,8 +92,6 @@ fn main() {
         cores: 4,
         seed: 7,
         client_pooling: false,
-        kernel_threads: 1,
-        jitter: None,
     };
     let exp = Experiment::new(spec, WorkloadKind::A, 0.9, 3, PlacementKind::Dp);
     let (point, breakdown, mut events) = run_point_traced(&exp, &scale, clients);

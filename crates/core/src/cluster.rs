@@ -66,18 +66,6 @@ pub struct ClusterConfig {
     pub record_txn_metrics: bool,
     /// RNG seed for the whole deployment.
     pub seed: u64,
-    /// Worker-thread budget for the simulation kernel. 1 (the default)
-    /// keeps the historical sequential dispatch loop; `n > 1` opts into
-    /// the sharded conservative-PDES driver (one shard per site, modulo
-    /// the budget), which requires a jitter-free network
-    /// ([`ClusterConfig::jitter`]` = Some(0.0)`) and at least two sites.
-    /// Same-seed runs are byte-identical at any thread count.
-    pub kernel_threads: usize,
-    /// Override for the topology's multiplicative latency jitter. `None`
-    /// keeps the Grid'5000 default (5%); `Some(0.0)` makes every delay a
-    /// pure function of endpoints and size, as the parallel kernel
-    /// requires.
-    pub jitter: Option<f64>,
     /// **Model-checker regression knob — never set in real runs.** Plumbed
     /// to [`ReplicaConfig::bug_unreserved_commit_clocks`]: re-introduces
     /// the pre-fix Walter PSI fractured-read bug so `gdur-mc` can prove it
@@ -108,8 +96,6 @@ impl ClusterConfig {
             client_think_time: None,
             record_txn_metrics: true,
             seed: 42,
-            kernel_threads: 1,
-            jitter: None,
             bug_unreserved_commit_clocks: false,
         }
     }
@@ -150,20 +136,6 @@ impl Cluster {
         // spec linter before a single message is simulated.
         cfg.spec.validate_strict(&cfg.placement);
         let mut topo = Topology::grid5000(sites);
-        if let Some(j) = cfg.jitter {
-            topo = topo.with_jitter(j);
-        }
-        if cfg.kernel_threads > 1 {
-            assert!(
-                topo.jitter() == 0.0,
-                "kernel_threads > 1 requires a jitter-free network: \
-                 set ClusterConfig::jitter = Some(0.0)"
-            );
-            assert!(
-                sites >= 2,
-                "kernel_threads > 1 requires at least two sites to shard by"
-            );
-        }
         // Replicas first (pids 0..sites), then clients — one topology slot
         // per client actor, or one per site when pooling (the pool is the
         // site's single client process).
@@ -272,16 +244,6 @@ impl Cluster {
                     client_idx += 1;
                 }
             }
-        }
-
-        if cfg.kernel_threads > 1 {
-            let lookahead = topo
-                .min_inter_site_latency()
-                .expect("at least two sites checked above");
-            let site_of: Vec<u16> = (0..sim.len())
-                .map(|i| topo.site_of(ProcessId(i as u32)).0)
-                .collect();
-            sim.enable_parallel(cfg.kernel_threads, site_of, lookahead);
         }
 
         Cluster {

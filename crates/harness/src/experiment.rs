@@ -113,11 +113,6 @@ pub struct Scale {
     /// scale axis; see `ClusterConfig::client_pooling`). Off by default —
     /// per-client actors remain the blessed reference configuration.
     pub client_pooling: bool,
-    /// Kernel worker threads (see `ClusterConfig::kernel_threads`).
-    /// More than 1 requires `jitter = Some(0.0)`.
-    pub kernel_threads: usize,
-    /// Topology jitter override (see `ClusterConfig::jitter`).
-    pub jitter: Option<f64>,
 }
 
 impl Scale {
@@ -132,8 +127,6 @@ impl Scale {
             cores: 4,
             seed: 1,
             client_pooling: false,
-            kernel_threads: 1,
-            jitter: None,
         }
     }
 
@@ -148,8 +141,6 @@ impl Scale {
             cores: 4,
             seed: 1,
             client_pooling: false,
-            kernel_threads: 1,
-            jitter: None,
         }
     }
 }
@@ -333,8 +324,6 @@ fn run_point_full(
         client_think_time: None,
         record_txn_metrics: true,
         seed: scale.seed ^ (clients_per_site as u64) << 32,
-        kernel_threads: scale.kernel_threads,
-        jitter: scale.jitter,
         bug_unreserved_commit_clocks: false,
     };
     let ro = exp.read_only_ratio;
@@ -432,11 +421,6 @@ pub struct MegaConfig {
     pub op_timeout: SimDuration,
     /// Deployment seed.
     pub seed: u64,
-    /// Kernel worker threads (see `ClusterConfig::kernel_threads`).
-    /// More than 1 requires `jitter = Some(0.0)`.
-    pub kernel_threads: usize,
-    /// Topology jitter override (see `ClusterConfig::jitter`).
-    pub jitter: Option<f64>,
 }
 
 impl MegaConfig {
@@ -460,8 +444,6 @@ impl MegaConfig {
             horizon: SimDuration::from_secs(4),
             op_timeout: SimDuration::from_secs(2),
             seed,
-            kernel_threads: 1,
-            jitter: None,
         }
     }
 }
@@ -520,8 +502,6 @@ pub fn run_mega_point(exp: &Experiment, cfg: &MegaConfig) -> MegaPointResult {
         client_think_time: Some(cfg.think_time),
         record_txn_metrics: false,
         seed: cfg.seed ^ (cfg.clients_per_site as u64) << 32,
-        kernel_threads: cfg.kernel_threads,
-        jitter: cfg.jitter,
         bug_unreserved_commit_clocks: false,
     };
     let ro = exp.read_only_ratio;

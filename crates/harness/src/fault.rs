@@ -200,11 +200,6 @@ pub struct ChaosConfig {
     /// of per-client actors (the scale configuration; see
     /// `ClusterConfig::client_pooling`).
     pub client_pooling: bool,
-    /// Kernel worker threads (see `ClusterConfig::kernel_threads`).
-    /// More than 1 requires `jitter = Some(0.0)`.
-    pub kernel_threads: usize,
-    /// Topology jitter override (see `ClusterConfig::jitter`).
-    pub jitter: Option<f64>,
 }
 
 impl ChaosConfig {
@@ -220,8 +215,6 @@ impl ChaosConfig {
             keys_per_partition: 200,
             seed: 7,
             client_pooling: false,
-            kernel_threads: 1,
-            jitter: None,
         }
     }
 }
@@ -350,8 +343,6 @@ pub fn run_chaos(cfg: &ChaosConfig) -> (ChaosReport, Vec<ObsEvent>) {
         client_think_time: None,
         record_txn_metrics: true,
         seed: cfg.seed,
-        kernel_threads: cfg.kernel_threads,
-        jitter: cfg.jitter,
         bug_unreserved_commit_clocks: false,
     };
     let mut cluster = Cluster::build(ccfg, |_idx, site| {

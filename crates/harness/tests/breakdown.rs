@@ -17,8 +17,6 @@ fn scale() -> Scale {
         cores: 4,
         seed: 7,
         client_pooling: false,
-        kernel_threads: 1,
-        jitter: None,
     }
 }
 

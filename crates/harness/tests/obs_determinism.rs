@@ -19,8 +19,6 @@ fn tiny_scale() -> Scale {
         cores: 4,
         seed: 11,
         client_pooling: false,
-        kernel_threads: 1,
-        jitter: None,
     }
 }
 

@@ -114,41 +114,6 @@ impl Topology {
         self
     }
 
-    /// Overrides the jitter amplitude. `0.0` makes every delay a pure
-    /// function of the endpoints and message size, which the parallel
-    /// kernel requires (see [`LatencyModel::deterministic_delay`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `jitter` is not within `[0, 1)`.
-    pub fn with_jitter(mut self, jitter: f64) -> Self {
-        assert!((0.0..1.0).contains(&jitter), "jitter must be in [0,1)");
-        self.jitter = jitter;
-        self
-    }
-
-    /// The configured jitter amplitude.
-    pub fn jitter(&self) -> f64 {
-        self.jitter
-    }
-
-    /// Minimum one-way base latency between any two *distinct* sites —
-    /// the conservative-PDES lookahead of this topology. `None` with
-    /// fewer than two sites (nothing is ever cross-site).
-    pub fn min_inter_site_latency(&self) -> Option<SimDuration> {
-        let n = self.sites();
-        let mut best: Option<SimDuration> = None;
-        for a in 0..n {
-            for b in 0..n {
-                if a != b {
-                    let d = self.latency[a][b];
-                    best = Some(best.map_or(d, |x| x.min(d)));
-                }
-            }
-        }
-        best
-    }
-
     /// Number of sites in the deployment.
     pub fn sites(&self) -> usize {
         self.latency.len()
@@ -304,34 +269,6 @@ impl LatencyModel for GeoLatency {
         let transmission =
             SimDuration::from_secs_f64(bytes as f64 / self.topology.bandwidth_bytes_per_sec);
         propagation + transmission
-    }
-
-    /// Mirrors [`GeoLatency::delay`] exactly when the topology is
-    /// jitter-free (the `jitter == 1.0` branch above, including the
-    /// `f64` round-trip on the base latency), and declines otherwise so
-    /// the parallel kernel refuses jittered topologies instead of
-    /// silently diverging from the sequential RNG draw order.
-    fn deterministic_delay(
-        &self,
-        from: ProcessId,
-        to: ProcessId,
-        bytes: usize,
-    ) -> Option<SimDuration> {
-        if self.topology.jitter > 0.0 {
-            return None;
-        }
-        if from == to {
-            return Some(SimDuration::ZERO);
-        }
-        let (sa, sb) = (self.topology.site_of(from), self.topology.site_of(to));
-        if sa != sb && self.partitions.is_cut(sa, sb) {
-            return Some(Self::PARTITION_DELAY);
-        }
-        let base = self.topology.base_latency(sa, sb);
-        let propagation = SimDuration::from_nanos((base.as_nanos() as f64 * 1.0) as u64);
-        let transmission =
-            SimDuration::from_secs_f64(bytes as f64 / self.topology.bandwidth_bytes_per_sec);
-        Some(propagation + transmission)
     }
 }
 

@@ -34,10 +34,6 @@ use crate::obs::{trigger, ObsEvent, ObsSink};
 use crate::sched::{Candidate, CandidateKind, Scheduler};
 use crate::time::{SimDuration, SimTime};
 
-mod par;
-
-pub(crate) use par::ParShards;
-
 /// Computes point-to-point message delay.
 ///
 /// Implementations live in `gdur-net` (geo-replicated latency matrices); the
@@ -51,25 +47,6 @@ pub trait LatencyModel {
         bytes: usize,
         rng: &mut SmallRng,
     ) -> SimDuration;
-
-    /// The delay for a `bytes`-sized message from `from` to `to` when the
-    /// model draws no randomness, or `None` when the model is jittered.
-    ///
-    /// The parallel kernel (see [`Simulation::enable_parallel`]) computes
-    /// arrival times on worker threads that have no access to the shared
-    /// seeded RNG, so it requires every send's delay through this method.
-    /// An implementation returning `Some(d)` **must** return the same `d`
-    /// from [`LatencyModel::delay`] without touching the RNG — otherwise
-    /// parallel and sequential runs of the same seed diverge.
-    fn deterministic_delay(
-        &self,
-        from: ProcessId,
-        to: ProcessId,
-        bytes: usize,
-    ) -> Option<SimDuration> {
-        let _ = (from, to, bytes);
-        None
-    }
 }
 
 /// A zero-delay network, useful for unit tests of protocol logic.
@@ -79,10 +56,6 @@ pub struct ZeroLatency;
 impl LatencyModel for ZeroLatency {
     fn delay(&self, _: ProcessId, _: ProcessId, _: usize, _: &mut SmallRng) -> SimDuration {
         SimDuration::ZERO
-    }
-
-    fn deterministic_delay(&self, _: ProcessId, _: ProcessId, _: usize) -> Option<SimDuration> {
-        Some(SimDuration::ZERO)
     }
 }
 
@@ -97,14 +70,6 @@ impl LatencyModel for UniformLatency {
         } else {
             self.0
         }
-    }
-
-    fn deterministic_delay(&self, from: ProcessId, to: ProcessId, _: usize) -> Option<SimDuration> {
-        Some(if from == to {
-            SimDuration::ZERO
-        } else {
-            self.0
-        })
     }
 }
 
@@ -124,9 +89,7 @@ pub struct Context<'a, M> {
     now: SimTime,
     self_id: ProcessId,
     consumed: SimDuration,
-    /// `None` only inside parallel-kernel workers (see `kernel::par`), which
-    /// have no access to the shared seeded generator.
-    rng: Option<&'a mut SmallRng>,
+    rng: &'a mut SmallRng,
     outputs: &'a mut Vec<Output<M>>,
     next_timer: &'a mut u64,
     halted: &'a mut bool,
@@ -210,19 +173,8 @@ impl<'a, M> Context<'a, M> {
     }
 
     /// Deterministic random-number generator shared by the whole simulation.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the simulation runs with a parallel kernel
-    /// ([`Simulation::enable_parallel`]): worker shards cannot share one
-    /// sequential generator without breaking same-seed byte-identity. Give
-    /// actors that need randomness their own per-actor seeded generator
-    /// instead (as the workload clients already do).
     pub fn rng(&mut self) -> &mut SmallRng {
-        self.rng.as_deref_mut().expect(
-            "Context::rng is unavailable under the parallel kernel (threads > 1); \
-             use a per-actor seeded RNG instead of the shared kernel RNG",
-        )
+        self.rng
     }
 
     /// Stops the simulation after the current handler completes.
@@ -356,16 +308,6 @@ pub struct Simulation<A: Actor, L: LatencyModel> {
     /// payload-free summaries), reused across choice points.
     cand_events: Vec<QueuedEvent<A::Msg>>,
     cand_meta: Vec<Candidate>,
-    /// Worker-thread budget for the parallel driver; 1 = sequential kernel.
-    threads: usize,
-    /// Site-shard map + lookahead, set by [`Simulation::enable_parallel`].
-    par: Option<ParShards>,
-    /// Monomorphized entry point of the parallel driver. Stored as a fn
-    /// pointer so the unbounded `run_until` can dispatch to it: the driver
-    /// needs `A: Send, A::Msg: Send, L: Sync`, bounds this impl block does
-    /// not carry, and they are discharged where the pointer is created
-    /// (`enable_parallel`).
-    par_driver: Option<fn(&mut Self, SimTime) -> SimTime>,
 }
 
 impl<A: Actor, L: LatencyModel> Simulation<A, L> {
@@ -387,16 +329,7 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
             sched: None,
             cand_events: Vec::new(),
             cand_meta: Vec::new(),
-            threads: 1,
-            par: None,
-            par_driver: None,
         }
-    }
-
-    /// The worker-thread budget set by [`Simulation::enable_parallel`]
-    /// (1 = sequential kernel).
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Attaches an observability sink receiving [`ObsEvent`]s: every
@@ -662,23 +595,7 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
     /// across runs. The exceptions keep the clock at the last event time:
     /// [`Simulation::run_until_idle`] (there is no meaningful horizon) and
     /// a [`Context::halt`] (the stop is deliberate and mid-run).
-    ///
-    /// With [`Simulation::enable_parallel`] configured and no [`Scheduler`]
-    /// attached, this dispatches to the sharded conservative-PDES driver,
-    /// which produces the byte-identical event order (see `kernel::par`).
-    /// A scheduler always forces the sequential path: schedule exploration
-    /// reorders co-enabled arrivals one at a time, which is meaningless
-    /// across concurrently-advancing shards.
     pub fn run_until(&mut self, until: SimTime) -> SimTime {
-        if self.threads > 1 && self.par.is_some() && self.sched.is_none() {
-            let driver = self.par_driver.expect("enable_parallel set the driver");
-            return driver(self, until);
-        }
-        self.run_until_seq(until)
-    }
-
-    /// The historical single-threaded dispatch loop.
-    fn run_until_seq(&mut self, until: SimTime) -> SimTime {
         self.ensure_started();
         while !self.halted {
             let Some(Reverse(ev)) = self.queue.peek() else {
@@ -900,7 +817,7 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
                 now: start,
                 self_id: id,
                 consumed: SimDuration::ZERO,
-                rng: Some(&mut self.rng),
+                rng: &mut self.rng,
                 outputs: &mut outputs,
                 next_timer: &mut slot.next_timer,
                 halted: &mut self.halted,
@@ -1726,5 +1643,107 @@ mod tests {
         sim.run_until_idle();
         // Ping(8) runs first at its own instant; Ping(7) was bumped to it.
         assert_eq!(sim.actor(a).log, vec![(later, env, 8), (later, env, 7)]);
+    }
+
+    /// Stress actor for [`resumed_runs_match`]: pings peers, self-sends at
+    /// zero latency, sets and cancels timers, and charges pseudo-random
+    /// service time drawn from its own counter.
+    struct Worker {
+        peers: Vec<ProcessId>,
+        salt: u64,
+        log: Vec<(SimTime, &'static str, u64)>,
+        pending_timer: Option<u64>,
+    }
+
+    impl Worker {
+        fn next(&mut self) -> u64 {
+            self.salt = self
+                .salt
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            self.salt >> 33
+        }
+    }
+
+    impl Actor for Worker {
+        type Msg = Ping;
+        fn on_start(&mut self, ctx: &mut Context<'_, Ping>) {
+            ctx.send(self.peers[0], Ping(6));
+            ctx.trace("test.start", 0, self.salt);
+        }
+        fn on_message(&mut self, ctx: &mut Context<'_, Ping>, _: ProcessId, msg: Ping) {
+            let r = self.next();
+            ctx.consume(SimDuration::from_micros(r % 900));
+            self.log.push((ctx.now(), "msg", msg.0 as u64));
+            ctx.trace("test.msg", msg.0 as u64, r % 7);
+            if msg.0 == 0 {
+                return;
+            }
+            if r.is_multiple_of(3) {
+                ctx.send(ctx.self_id(), Ping(0));
+            }
+            if r % 4 == 1 {
+                if let Some(id) = self.pending_timer.take() {
+                    ctx.cancel_timer(id);
+                }
+            }
+            if r.is_multiple_of(2) {
+                let after = SimDuration::from_micros(r % 2500);
+                self.pending_timer = Some(ctx.set_timer(after, msg.0 as u64));
+            }
+            let peer = self.peers[(r as usize) % self.peers.len()];
+            ctx.send(peer, Ping(msg.0 - 1));
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_, Ping>, tag: u64) {
+            self.pending_timer = None;
+            self.log.push((ctx.now(), "timer", tag));
+            ctx.trace("test.timer", tag, 0);
+            if tag > 2 {
+                let peer = self.peers[(tag as usize) % self.peers.len()];
+                ctx.send(peer, Ping(1));
+            }
+        }
+    }
+
+    /// Splitting a run into `run_until` chunks is invisible: the harness
+    /// runs warm-up and measurement as separate calls, so logs, stats, the
+    /// clock and the full causal event stream must match one call.
+    #[test]
+    fn resumed_runs_match() {
+        fn run(stops_ms: &[u64]) -> String {
+            let n = 6u32;
+            let mut sim = Simulation::new(UniformLatency(SimDuration::from_millis(10)), 42);
+            for i in 0..n {
+                let worker = Worker {
+                    peers: (0..n).filter(|p| *p != i).map(ProcessId).collect(),
+                    salt: 0x9e3779b97f4a7c15 ^ u64::from(i),
+                    log: Vec::new(),
+                    pending_timer: None,
+                };
+                let cores = if i % 3 == 0 {
+                    Cores::Unlimited
+                } else {
+                    Cores::Fixed(1 + (i as u16 % 2))
+                };
+                sim.spawn(worker, cores);
+            }
+            let tap = CausalShared(Default::default());
+            sim.attach_obs(Box::new(tap.clone()));
+            for ms in stops_ms {
+                sim.run_until(SimTime::from_nanos(ms * 1_000_000));
+            }
+            let events = tap.0.lock().expect("sink lock");
+            assert!(events.len() > 400, "stress run too small to pin anything");
+            let mut s = String::new();
+            for (pid, a) in sim.actors() {
+                s.push_str(&format!("{pid:?}: {:?}\n", a.log));
+            }
+            s.push_str(&format!("{:?} {:?}\n", sim.stats(), sim.now()));
+            for ev in events.iter() {
+                s.push_str(&format!("{ev:?}\n"));
+            }
+            s
+        }
+        assert_eq!(run(&[7, 10, 11, 20, 40, 90, 400, 500]), run(&[500]));
     }
 }
