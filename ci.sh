@@ -5,12 +5,13 @@
 #
 # Tiers:
 #   ./ci.sh --fast   formatting, clippy, debug tests — the edit-loop tier
-#   ./ci.sh          the full gate: fast tier + release build/tests, then
-#                    the smoke gates (detlint --dynamic, obs_smoke,
-#                    chaos_smoke, mc_smoke, trace_smoke, mega_smoke,
-#                    perf_gate) run *concurrently* against the release
-#                    binaries, with per-gate logs replayed in a fixed
-#                    order once all of them finish
+#   ./ci.sh          the full gate: fast tier + release build/tests and the
+#                    benchmark package's tests, then the smoke gates
+#                    (detlint --dynamic, obs_smoke, chaos_smoke, mc_smoke,
+#                    trace_smoke, mega_smoke, perf_gate) run
+#                    *concurrently* against the release binaries, with
+#                    per-gate logs replayed in a fixed order once all of
+#                    them finish
 #
 # The 10⁵/10⁶-clients-per-site scale points stay out of CI; run them with
 # `cargo run --release -p gdur-bench --bin perf_gate -- --mega`.
@@ -57,6 +58,12 @@ fi
 step "cargo build --release" cargo build --release
 
 step "cargo test (release)" cargo test -q --release
+
+# The benchmark package is a workspace of its own built against the
+# crates' public API; testing it here keeps core API changes from
+# silently breaking it.
+step "benchmark package tests" \
+    cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 
 # ---- smoke gates (concurrent) -----------------------------------------
 # Every gate below is an independent read-only check over the release

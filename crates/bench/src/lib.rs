@@ -16,6 +16,13 @@
 //! under `bench_results/`. The Criterion benches (`microbench`,
 //! `figures`) exercise the same code paths at a size suitable for
 //! `cargo bench`.
+//!
+//! The CI smoke gates (`obs_smoke`, `chaos_smoke`, `mc_smoke`,
+//! `trace_smoke`, `mega_smoke`) diff their deterministic output against
+//! `crates/bench/golden/<gate>.txt` through [`check_golden`].
+
+use std::path::Path;
+use std::process::exit;
 
 use gdur_harness::Scale;
 
@@ -34,6 +41,52 @@ pub fn scale_from_args() -> Scale {
         }
     }
     scale
+}
+
+/// Compares a smoke gate's output `text` (`what` describes it, e.g.
+/// "recovery counts") byte for byte with `crates/bench/golden/<name>.txt`,
+/// resolved from the working directory — run the gates from the
+/// repository root. With `--bless` on the command line the golden file is
+/// rewritten from `text` instead. A missing golden or any difference
+/// prints a line-by-line diff and exits with status 1.
+pub fn check_golden(name: &str, what: &str, text: &str) {
+    let path = Path::new("crates/bench/golden").join(format!("{name}.txt"));
+    if std::env::args().any(|a| a == "--bless") {
+        std::fs::create_dir_all(path.parent().expect("has parent")).expect("create golden dir");
+        std::fs::write(&path, text).expect("write golden");
+        println!("blessed {}", path.display());
+        return;
+    }
+    let golden = match std::fs::read_to_string(&path) {
+        Ok(g) => g,
+        Err(e) => {
+            eprintln!(
+                "{name}: cannot read golden file {} (relative to the working \
+                 directory; run from the repository root): {e}\n\
+                 run with --bless to create it",
+                path.display()
+            );
+            exit(1);
+        }
+    };
+    if text != golden {
+        eprintln!("{name}: {what} diverged from the golden file:");
+        for (i, (got, want)) in text.lines().zip(golden.lines()).enumerate() {
+            if got != want {
+                eprintln!("  line {}:\n    golden: {want}\n    got:    {got}", i + 1);
+            }
+        }
+        if text.lines().count() != golden.lines().count() {
+            eprintln!(
+                "  line counts differ: got {} vs golden {}",
+                text.lines().count(),
+                golden.lines().count()
+            );
+        }
+        eprintln!("(re-run with --bless after an intentional change)");
+        exit(1);
+    }
+    println!("{name}: {what} identical to the golden file");
 }
 
 #[cfg(test)]

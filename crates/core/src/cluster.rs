@@ -10,7 +10,7 @@ use gdur_net::{GeoLatency, SiteId, Topology};
 use gdur_sim::{Cores, ProcessId, SimDuration, SimTime, Simulation};
 use gdur_store::{Key, Placement, Value};
 
-use crate::client::{Client, TxnRecord};
+use crate::client::TxnRecord;
 use crate::node::Node;
 use crate::pool::{ClientPool, PoolCounts};
 use crate::replica::{Replica, ReplicaConfig, ReplicaStats};
@@ -51,14 +51,13 @@ pub struct ClusterConfig {
     /// crashes in fault-injection runs.
     pub client_op_timeout: Option<SimDuration>,
     /// Aggregate each site's clients into one [`crate::ClientPool`] actor
-    /// instead of one actor per client. Off by default: per-client actors
-    /// remain the reference configuration (and the one all goldens are
-    /// blessed against); pools are the opt-in scale axis for sweeps beyond
-    /// ~10³ clients per site.
+    /// instead of one pool of one client per client process. Off by
+    /// default: the per-client layout remains the reference configuration
+    /// (and the one most goldens are blessed against); site pools are the
+    /// opt-in scale axis for sweeps beyond ~10³ clients per site.
     pub client_pooling: bool,
-    /// Closed-loop think time between transactions (pooled clients only;
-    /// also staggers initial begins across one interval). `None` =
-    /// back-to-back, matching per-client actors.
+    /// Closed-loop think time between transactions (also staggers each
+    /// pool's initial begins across one interval). `None` = back-to-back.
     pub client_think_time: Option<SimDuration>,
     /// Collect per-transaction [`TxnRecord`]s (on by default). Mega-scale
     /// pooled sweeps turn this off and read aggregate pool counts instead,
@@ -106,6 +105,7 @@ pub struct Cluster {
     sim: Simulation<Node, GeoLatency>,
     replica_pids: Vec<ProcessId>,
     client_pids: Vec<ProcessId>,
+    client_pooling: bool,
     placement: Placement,
 }
 
@@ -136,19 +136,18 @@ impl Cluster {
         // spec linter before a single message is simulated.
         cfg.spec.validate_strict(&cfg.placement);
         let mut topo = Topology::grid5000(sites);
-        // Replicas first (pids 0..sites), then clients — one topology slot
-        // per client actor, or one per site when pooling (the pool is the
-        // site's single client process).
+        // Replicas first (pids 0..sites), then client processes: one pool
+        // per client, or one per site when pooling.
+        let (pools_per_site, clients_per_pool) = if cfg.client_pooling {
+            (1, cfg.clients_per_site)
+        } else {
+            (cfg.clients_per_site, 1)
+        };
         for s in 0..sites {
             topo.place(SiteId(s as u16));
         }
         for s in 0..sites {
-            let slots = if cfg.client_pooling {
-                1
-            } else {
-                cfg.clients_per_site
-            };
-            for _ in 0..slots {
+            for _ in 0..pools_per_site {
                 topo.place(SiteId(s as u16));
             }
         }
@@ -204,10 +203,7 @@ impl Cluster {
         let mut client_idx = 0usize;
         for (s, &coordinator) in replica_pids.iter().enumerate() {
             let site = SiteId(s as u16);
-            if cfg.client_pooling {
-                // One aggregated actor per site; each slot keeps the exact
-                // per-client seed formula so pooled and per-client runs
-                // draw identical workload streams.
+            for _ in 0..pools_per_site {
                 let mut pool = ClientPool::new(coordinator, cfg.value_size)
                     .with_txn_records(cfg.record_txn_metrics);
                 if let Some(max) = cfg.max_txns_per_client {
@@ -219,30 +215,14 @@ impl Cluster {
                 if let Some(t) = cfg.client_think_time {
                     pool = pool.with_think_time(t);
                 }
-                for _ in 0..cfg.clients_per_site {
+                // Every client keeps the same seed formula in both layouts,
+                // so they draw identical workload streams.
+                for _ in 0..clients_per_pool {
                     let source = make_source(client_idx, site);
                     pool.add_client(source, cfg.seed ^ (0x9e37_79b9 + client_idx as u64));
                     client_idx += 1;
                 }
                 client_pids.push(sim.spawn(Node::Pool(pool), Cores::Unlimited));
-            } else {
-                for _ in 0..cfg.clients_per_site {
-                    let source = make_source(client_idx, site);
-                    let mut client = Client::new(
-                        coordinator,
-                        source,
-                        cfg.value_size,
-                        cfg.seed ^ (0x9e37_79b9 + client_idx as u64),
-                    );
-                    if let Some(max) = cfg.max_txns_per_client {
-                        client = client.with_max_txns(max);
-                    }
-                    if let Some(t) = cfg.client_op_timeout {
-                        client = client.with_op_timeout(t);
-                    }
-                    client_pids.push(sim.spawn(Node::Client(client), Cores::Unlimited));
-                    client_idx += 1;
-                }
             }
         }
 
@@ -250,6 +230,7 @@ impl Cluster {
             sim,
             replica_pids,
             client_pids,
+            client_pooling: cfg.client_pooling,
             placement: cfg.placement,
         }
     }
@@ -320,49 +301,48 @@ impl Cluster {
             .expect("replica pid")
     }
 
-    /// All finished-transaction records across clients — per-client actors
-    /// and pooled clients alike (empty for pools built with
+    /// All finished-transaction records across clients, grouped by client
+    /// process in pid order (empty when built with
     /// `record_txn_metrics: false`).
     pub fn records(&self) -> Vec<TxnRecord> {
-        let mut out = Vec::new();
-        for pid in &self.client_pids {
-            let node = self.sim.actor(*pid);
-            if let Some(c) = node.as_client() {
-                out.extend_from_slice(c.records());
-            } else if let Some(p) = node.as_pool() {
-                out.extend_from_slice(p.records());
-            }
-        }
-        out
+        self.pools().flat_map(|p| p.records()).copied().collect()
     }
 
     /// The client pool at `site`, if the deployment was built with
-    /// `client_pooling`.
+    /// `client_pooling` (per-client layouts have one pool per client, so
+    /// no single pool stands for a site).
     pub fn pool(&self, site: SiteId) -> Option<&ClientPool> {
+        if !self.client_pooling {
+            return None;
+        }
         self.client_pids
             .get(site.index())
             .and_then(|pid| self.sim.actor(*pid).as_pool())
     }
 
-    /// Summed aggregate pool counters across sites (all zeros when the
-    /// deployment uses per-client actors).
+    /// Aggregate client counters summed over every client process, in
+    /// either layout.
     pub fn pool_counts(&self) -> PoolCounts {
         let mut total = PoolCounts::default();
-        for pid in &self.client_pids {
-            if let Some(p) = self.sim.actor(*pid).as_pool() {
-                let c = p.counts();
-                total.issued += c.issued;
-                total.committed += c.committed;
-                total.aborted += c.aborted;
-                for (t, v) in total.aborted_by_cause.iter_mut().zip(c.aborted_by_cause) {
-                    *t += v;
-                }
-                total.total_latency_nanos = total
-                    .total_latency_nanos
-                    .saturating_add(c.total_latency_nanos);
+        for c in self.pools().map(ClientPool::counts) {
+            total.issued += c.issued;
+            total.committed += c.committed;
+            total.aborted += c.aborted;
+            for (t, v) in total.aborted_by_cause.iter_mut().zip(c.aborted_by_cause) {
+                *t += v;
             }
+            total.total_latency_nanos = total
+                .total_latency_nanos
+                .saturating_add(c.total_latency_nanos);
         }
         total
+    }
+
+    /// Every client process, in pid order.
+    fn pools(&self) -> impl Iterator<Item = &ClientPool> {
+        self.client_pids
+            .iter()
+            .map(|pid| self.sim.actor(*pid).as_pool().expect("client pid"))
     }
 
     /// Summed replica statistics.

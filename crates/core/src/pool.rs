@@ -1,46 +1,47 @@
-//! Aggregated closed-loop client pool: one actor modeling N clients.
+//! The closed-loop client actor: one [`ClientPool`] models N clients.
 //!
-//! The reference deployment spawns one [`crate::Client`] actor per client
-//! thread, which is faithful but costs a mailbox, a scheduler slot, and a
-//! kernel timer set *per client* — the single-threaded kernel tops out
-//! long before the "millions of users" scale the roadmap asks for.
-//! [`ClientPool`] collapses a whole site's client population into one
-//! actor:
+//! Every client process of a deployment is a pool. A pooled deployment
+//! (`client_pooling`) spawns one pool per site holding all of that site's
+//! clients; the per-client layout spawns one pool of one client per
+//! client process — the paper's client threads, each with its own mailbox.
+//! Either way:
 //!
 //! * per-client state lives in a flat `Vec<ClientSlot>` (workload source,
 //!   private RNG, in-flight transaction) — state arrays, not actors;
 //! * per-client deadlines (operation timeouts, think-time wake-ups) live
-//!   in one site-local [`TimerWheel`] keyed by virtual time; the pool arms
-//!   at most **one** kernel timer, for the earliest wheel deadline;
-//! * submissions multiplex through the exact coordinator/`Replica`
-//!   message paths the per-client actors use — no protocol code changes.
+//!   in one [`TimerWheel`] keyed by virtual time; the pool arms at most
+//!   **one** kernel timer, for the earliest wheel deadline;
+//! * submissions multiplex through the coordinator/`Replica` message
+//!   paths — no protocol code knows how clients are grouped.
 //!
 //! ## Transaction identity
 //!
-//! A pooled transaction id carries the *pool's* pid as its coordinator
-//! field (replicas reply to `tx.coord`'s sender either way) and encodes
-//! the client inside the sequence: `seq = (client_idx << 20) | local_seq`
-//! (see [`gdur_obs::pool_seq`]). The split fits the 40-bit sequence budget
-//! of [`gdur_obs::tx_code`], so replica-side lifecycle trace events stamp
-//! pooled transactions collision-free, and it puts the client index in the
-//! high bits so transaction ids order client-major — the same relative
-//! order per-client actors produce pid-major. Both bounds are checked with
-//! explicit panics ([`gdur_obs::MAX_POOL_CLIENTS`] clients per pool,
-//! [`gdur_obs::MAX_POOL_LOCAL_SEQ`] transactions per client); nothing
-//! truncates silently.
+//! A transaction id carries the pool's pid as its coordinator field
+//! (replicas reply to `tx.coord`'s sender) and encodes the client inside
+//! the sequence: `seq = (client_idx << 20) | local_seq` (see
+//! [`gdur_obs::pool_seq`]). For a pool of one, `client_idx` is 0 and the
+//! sequence is just the client's local sequence. The split fits the
+//! 40-bit sequence budget of [`gdur_obs::tx_code`], so replica-side
+//! lifecycle trace events stamp transactions collision-free, and it puts
+//! the client index in the high bits so transaction ids order
+//! client-major — the same relative order separate client pids give.
+//! Both bounds are checked with explicit panics
+//! ([`gdur_obs::MAX_POOL_CLIENTS`] clients per pool,
+//! [`gdur_obs::MAX_POOL_LOCAL_SEQ`] = 2²⁰−1 transactions per client, in
+//! either layout); nothing truncates silently.
 //!
 //! ## Determinism & equivalence
 //!
-//! A pooled deployment is outcome-equivalent to the per-client one under
-//! the same seed (fault-free, no timers): each slot's RNG and workload
-//! source are seeded with the per-client formula, the pool issues begins
-//! in client-index order — the same global send order as per-client
-//! `on_start` dispatch — and the latency model draws its per-message
-//! jitter in send order, so every message leaves and arrives at the same
-//! virtual instant in both modes. `tests/tests/pool.rs` asserts record-
-//! level equivalence across the protocol library.
+//! The two layouts are outcome-equivalent under the same seed (fault-free,
+//! no timers): each slot's RNG and workload source are seeded with the
+//! same per-client formula, a pool issues begins in client-index order —
+//! the same global send order as start dispatch across one-client pools —
+//! and the latency model draws its per-message jitter in send order, so
+//! every message leaves and arrives at the same virtual instant in both
+//! layouts. `tests/tests/pool.rs` asserts record-level equivalence across
+//! the protocol library.
 
-use gdur_obs::{pool_seq, pool_seq_parts, AbortCause, MAX_POOL_CLIENTS};
+use gdur_obs::{pool_seq_parts, AbortCause, MAX_POOL_CLIENTS};
 use gdur_sim::{Context, ProcessId, SimDuration, SimTime, TimerWheel};
 use gdur_store::{TxId, Value};
 
@@ -82,17 +83,22 @@ impl PoolCounts {
     }
 }
 
-/// One actor modeling a site's whole closed-loop client population.
+/// One actor modeling a set of closed-loop clients bound to one
+/// coordinator replica: a site's whole client population, or a single
+/// client.
 ///
-/// Built empty and populated with [`ClientPool::add_client`]; behaves like
-/// the equivalent set of [`crate::Client`] actors against the coordinator.
+/// Each client emulates one of the paper's client threads: it runs
+/// transactions back-to-back (or after a think time), reading plans from
+/// a [`TxSource`]. Updated values are fixed-size payloads, cloned from one
+/// shared buffer so allocation cost stays out of the measurement. Built
+/// empty and populated with [`ClientPool::add_client`].
 pub struct ClientPool {
     coordinator: ProcessId,
     value_proto: Value,
     max_txns: Option<u64>,
     op_timeout: Option<SimDuration>,
     /// Closed-loop think time between an outcome and the next begin
-    /// (`None` = back-to-back, matching the per-client actors). When set,
+    /// (`None` = back-to-back). When set,
     /// initial begins are also staggered across one think interval so a
     /// million clients don't stampede the coordinator at t=0.
     think_time: Option<SimDuration>,
@@ -106,8 +112,9 @@ pub struct ClientPool {
     wheel: TimerWheel<u32>,
     /// The single armed kernel timer: (deadline, kernel timer id). Armed
     /// lazily at the earliest wheel deadline; removals never re-arm (the
-    /// stale fire pops nothing and re-arms), keeping kernel timer traffic
-    /// at ~one arrival per timeout interval instead of one per operation.
+    /// stale fire pops nothing and re-arms), keeping a busy pool's kernel
+    /// timer traffic at ~one arrival per timeout interval instead of one
+    /// per operation. A removal that empties the wheel cancels it instead.
     armed: Option<(SimTime, u64)>,
     /// Scratch buffer reused across timer fires (no per-fire allocation).
     due: Vec<(SimTime, u32)>,
@@ -243,7 +250,7 @@ impl ClientPool {
             return;
         }
         let me = self.me.expect("pool started");
-        let tx = slot.open(ctx.now(), |seq| TxId::new(me.0, pool_seq(idx, seq)));
+        let tx = slot.open(ctx.now(), me.0, idx);
         self.counts.issued += 1;
         ctx.send(
             self.coordinator,
@@ -288,13 +295,24 @@ impl ClientPool {
         self.ensure_armed(ctx);
     }
 
-    /// Disarms `idx`'s op deadline (its reply arrived). The armed kernel
-    /// timer is deliberately left alone: firing stale is one cheap no-op
-    /// event per timeout interval, vs one cancel+re-arm per operation.
-    fn cancel_op_deadline(&mut self, idx: u32) {
-        if let Some(r) = self.slots[idx as usize].current.as_mut() {
-            if let Some(at) = r.wheel_deadline.take() {
-                self.wheel.remove(at, &idx);
+    /// Disarms `idx`'s op deadline (its reply arrived). While other
+    /// deadlines remain, the armed kernel timer is deliberately left
+    /// alone: firing stale is one cheap no-op event per timeout interval,
+    /// vs one cancel+re-arm per operation. Once the wheel is empty nothing
+    /// is left for it to serve, so it is canceled — for a pool of one
+    /// client that is one set and one cancel per operation.
+    fn cancel_op_deadline(&mut self, ctx: &mut Context<'_, Msg>, idx: u32) {
+        let Some(at) = self.slots[idx as usize]
+            .current
+            .as_mut()
+            .and_then(|r| r.wheel_deadline.take())
+        else {
+            return;
+        };
+        self.wheel.remove(at, &idx);
+        if self.wheel.is_empty() {
+            if let Some((_, id)) = self.armed.take() {
+                ctx.cancel_timer(id);
             }
         }
     }
@@ -332,7 +350,7 @@ impl ClientPool {
         for idx in 0..n {
             match self.think_time {
                 // Back-to-back mode: begin everything now, in client-index
-                // order — the same global send order per-client actors
+                // order — the same global send order one-client pools
                 // produce during start dispatch.
                 None => self.begin(ctx, idx),
                 // Paced mode: stagger initial begins across one think
@@ -351,10 +369,11 @@ impl ClientPool {
         self.ensure_armed(ctx);
     }
 
-    /// A pool restart models the whole client machine rebooting: volatile
+    /// A pool restart models the client machine rebooting: volatile
     /// deadlines are gone (the kernel discarded its timers), every
-    /// in-flight transaction is abandoned as a crash abort, and each
-    /// client's closed loop resumes from its next sequence number.
+    /// in-flight transaction is recorded as a crash abort — exactly one
+    /// record per issued transaction — and each client's closed loop
+    /// resumes from its next sequence number.
     pub fn on_restart(&mut self, ctx: &mut Context<'_, Msg>) {
         self.wheel.clear();
         self.armed = None;
@@ -386,7 +405,7 @@ impl ClientPool {
             // transaction is already recorded exactly once; drop it.
             _ => return,
         }
-        self.cancel_op_deadline(idx);
+        self.cancel_op_deadline(ctx, idx);
         match reply {
             ClientReply::Began | ClientReply::ReadDone { .. } | ClientReply::UpdateDone { .. } => {
                 self.send_next_op(ctx, idx);

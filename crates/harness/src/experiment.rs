@@ -111,7 +111,7 @@ pub struct Scale {
     pub seed: u64,
     /// Aggregate each site's clients into one pool actor (the opt-in
     /// scale axis; see `ClusterConfig::client_pooling`). Off by default —
-    /// per-client actors remain the blessed reference configuration.
+    /// the per-client layout remains the blessed reference configuration.
     pub client_pooling: bool,
 }
 
@@ -398,7 +398,7 @@ fn run_point_full(
 ///
 /// Unlike [`Scale`], this path is pool-only and metric-light by
 /// construction: one [`gdur_core::ClientPool`] actor per site, no
-/// per-client actors or mailboxes, `record_history` and per-transaction
+/// per-client processes or mailboxes, `record_history` and per-transaction
 /// records both off. Memory is bounded by the per-client state arrays
 /// (a few hundred bytes per client), not by the transaction count.
 #[derive(Debug, Clone)]

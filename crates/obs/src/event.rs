@@ -150,7 +150,7 @@ pub const MAX_POOL_LOCAL_SEQ: u64 = (1 << POOL_LOCAL_SEQ_BITS) - 1;
 /// its transaction id: `(client << 20) | local_seq`.
 ///
 /// The client index occupies the *high* bits on purpose: transaction ids
-/// then order client-major, exactly as per-client actors order pid-major,
+/// then order client-major, exactly as one-client pools order pid-major,
 /// so any tie-break that compares transaction ids behaves identically in
 /// pooled and per-client deployments.
 ///
@@ -294,7 +294,7 @@ mod tests {
         // no pooled transaction can alias another coordinator's events.
         let widest = pool_seq(MAX_POOL_CLIENTS - 1, MAX_POOL_LOCAL_SEQ);
         assert_eq!(tx_parts(tx_code(7, widest)), (7, widest));
-        // Client-major ordering: ids order like per-client actor pids do.
+        // Client-major ordering: ids order like per-client pids do.
         assert!(pool_seq(1, MAX_POOL_LOCAL_SEQ) < pool_seq(2, 1));
     }
 

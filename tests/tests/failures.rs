@@ -113,8 +113,8 @@ fn crashed_coordinator_only_stalls_its_own_clients() {
             cluster
                 .sim()
                 .actor(*pid)
-                .as_client()
-                .expect("client")
+                .as_pool()
+                .expect("client process")
                 .records()
                 .len()
         })

@@ -1,16 +1,19 @@
-//! Aggregated client pools vs per-client actors.
+//! Site pools vs the per-client layout.
 //!
-//! The pool is a pure aggregation: N closed-loop clients multiplexed
-//! through one actor per site must produce the *same outcomes* as N
-//! individual client actors — same per-client transaction streams, same
-//! commit/abort decisions, same consistency verdicts. These tests pin that
-//! equivalence across the protocol library, and exercise the scale-path
-//! races (late decision after a client-side op timeout) in both modes.
+//! Every client process is a `ClientPool`: one per site when pooling, one
+//! per client otherwise. Pooling is a pure aggregation: N closed-loop
+//! clients multiplexed through one actor per site must produce the *same
+//! outcomes* as N one-client pools — same per-client transaction streams,
+//! same commit/abort decisions, same consistency verdicts. These tests pin
+//! that equivalence across the protocol library, exercise the scale-path
+//! races (late decision after a client-side op timeout) in both layouts,
+//! and pin the client restart and `Cluster::pool` contracts.
 
 use gdur_consistency::{CriterionCheck, History};
 use gdur_core::{
     AbortCause, Cluster, ClusterConfig, ProtocolSpec, ScriptSource, TxnPlan, TxnRecord,
 };
+use gdur_net::SiteId;
 use gdur_obs::pool_seq_parts;
 use gdur_sim::{SimDuration, SimTime};
 use gdur_store::Key;
@@ -33,9 +36,19 @@ fn contended_config(spec: ProtocolSpec, pooled: bool, seed: u64) -> ClusterConfi
 }
 
 fn run_contended(spec: ProtocolSpec, pooled: bool, seed: u64) -> Cluster {
-    let cfg = contended_config(spec, pooled, seed);
+    run_to_idle(contended_config(spec, pooled, seed))
+}
+
+fn run_to_idle(cfg: ClusterConfig) -> Cluster {
+    let mut cluster = build(cfg);
+    cluster.run_until_idle();
+    cluster
+}
+
+/// A deployment whose clients run YCSB Workload A, read-only share 0.5.
+fn build(cfg: ClusterConfig) -> Cluster {
     let total_keys = cfg.keys_per_partition * SITES as u64;
-    let mut cluster = Cluster::build(cfg, move |_, site| {
+    Cluster::build(cfg, move |_, site| {
         Box::new(YcsbSource::new(
             WorkloadSpec::a(),
             total_keys,
@@ -43,9 +56,7 @@ fn run_contended(spec: ProtocolSpec, pooled: bool, seed: u64) -> Cluster {
             site.0 as u64 % SITES as u64,
             0.5,
         ))
-    });
-    cluster.run_until_idle();
-    cluster
+    })
 }
 
 /// One record, keyed by the logical client that ran it: `(site,
@@ -111,7 +122,12 @@ fn pools_match_individual_clients_across_the_library() {
         );
         assert_eq!(
             single_records, pooled_records,
-            "{name}: pooled outcomes diverged from per-client actors"
+            "{name}: pooled outcomes diverged from the per-client layout"
+        );
+        assert_eq!(
+            single.pool_counts(),
+            pooled.pool_counts(),
+            "{name}: aggregate client counters diverged between layouts"
         );
 
         for (mode, cluster) in [("per-client", &single), ("pooled", &pooled)] {
@@ -197,7 +213,7 @@ fn late_decision_after_op_timeout_is_dropped_pooled() {
     let mut counts_crash = 0;
     for s in 0..SITES {
         let pool = cluster
-            .pool(gdur_net::SiteId(s as u16))
+            .pool(SiteId(s as u16))
             .expect("pooled deployment has a pool per site");
         let c = pool.counts();
         assert_eq!(
@@ -264,4 +280,93 @@ fn pooled_chaos_run_stays_safe() {
         report.crashes > 0 && report.restarts > 0,
         "schedule was a no-op"
     );
+}
+
+/// A one-client pool cancels its kernel timer whenever its wheel empties,
+/// so an op timeout that never expires costs no handler invocation: the
+/// per-client run is event-for-event the run without a timeout.
+#[test]
+fn unexpired_op_timeouts_cost_no_events_per_client() {
+    let run = |timeout| {
+        let mut cfg = contended_config(gdur_protocols::p_store(), false, 13);
+        cfg.client_op_timeout = timeout;
+        let cluster = run_to_idle(cfg);
+        let stats = cluster.sim().stats();
+        (
+            (stats.events_processed, stats.messages_delivered),
+            keyed_records(&cluster, false),
+        )
+    };
+    let (plain, plain_records) = run(None);
+    let (timed, timed_records) = run(Some(SimDuration::from_secs(60)));
+    assert_eq!(
+        timed, plain,
+        "an op timeout that never fired changed (events, deliveries)"
+    );
+    assert!(timed_records == plain_records, "outcomes changed");
+}
+
+/// A restarted client process records its abandoned in-flight transaction
+/// as a crash abort: every issued transaction gets exactly one record,
+/// and no transaction id is recorded twice.
+#[test]
+fn restarted_client_records_every_issued_transaction_once() {
+    let mut cfg = ClusterConfig::small(gdur_protocols::p_store(), SITES);
+    cfg.clients_per_site = 2;
+    cfg.max_txns_per_client = Some(20);
+    let mut cluster = build(cfg);
+    let victim = cluster.client_pids()[0];
+    let ms = |t| SimTime::ZERO + SimDuration::from_millis(t);
+    cluster.sim_mut().schedule_crash(victim, ms(300));
+    cluster.sim_mut().schedule_restart(victim, ms(900));
+    cluster.run_until_idle();
+
+    let records: Vec<TxnRecord> = cluster
+        .records()
+        .into_iter()
+        .filter(|r| r.tx.coord == victim.0)
+        .collect();
+    assert_eq!(
+        records.len(),
+        20,
+        "the restarted client must record each of its 20 transactions once"
+    );
+    let issued = cluster
+        .sim()
+        .actor(victim)
+        .as_pool()
+        .expect("client process")
+        .issued();
+    assert_eq!(issued, records.len() as u64, "issued != recorded");
+    let mut ids: Vec<_> = records.iter().map(|r| r.tx).collect();
+    ids.sort();
+    ids.dedup();
+    assert_eq!(ids.len(), records.len(), "a transaction was recorded twice");
+    assert!(
+        records.iter().any(|r| r.cause == Some(AbortCause::Crash)),
+        "the transaction in flight at the crash must abort as Crash"
+    );
+}
+
+/// `Cluster::pool(site)` names a site's pool only in pooled deployments;
+/// a per-client layout has one pool per client and answers `None`.
+#[test]
+fn site_pool_exists_only_when_pooling() {
+    let single = run_contended(gdur_protocols::p_store(), false, 13);
+    let pooled = run_contended(gdur_protocols::p_store(), true, 13);
+    for s in 0..SITES {
+        let site = SiteId(s as u16);
+        assert!(
+            single.pool(site).is_none(),
+            "per-client layout must not expose a site pool (site {s})"
+        );
+        let pool = pooled
+            .pool(site)
+            .expect("pooled deployment has a site pool");
+        assert_eq!(
+            pool.clients(),
+            CPS,
+            "site {s} pool holds the site's clients"
+        );
+    }
 }
