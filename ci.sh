@@ -4,7 +4,8 @@
 # stand in for the registry crates (see README "Offline build").
 #
 # Tiers:
-#   ./ci.sh --fast   formatting, clippy, debug tests — the edit-loop tier
+#   ./ci.sh --fast   formatting, clippy, rustdoc, debug tests — the edit-loop
+#                    tier
 #   ./ci.sh          the full gate: fast tier + release build/tests and the
 #                    benchmark package's tests, then the smoke gates
 #                    (detlint --dynamic, obs_smoke, chaos_smoke, mc_smoke,
@@ -47,6 +48,9 @@ step "cargo fmt --check" cargo fmt --check
 
 step "cargo clippy --all-targets -- -D warnings" \
     cargo clippy --all-targets -- -D warnings
+
+step "cargo doc (RUSTDOCFLAGS=-D warnings)" \
+    env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 step "cargo test (debug)" cargo test -q
 

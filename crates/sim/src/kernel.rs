@@ -349,9 +349,9 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
         self.obs.take()
     }
 
-    /// Attaches a [`Scheduler`] that reorders co-enabled arrivals (see the
-    /// [`sched`](crate::sched) module). Without one, the dispatch loop runs
-    /// the historical strict `(time, seq)` path untouched.
+    /// Attaches a [`Scheduler`] that reorders co-enabled arrivals. Without
+    /// one, the dispatch loop runs the historical strict `(time, seq)` path
+    /// untouched.
     pub fn attach_scheduler(&mut self, sched: Box<dyn Scheduler>) {
         self.sched = Some(sched);
     }

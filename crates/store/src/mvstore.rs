@@ -112,7 +112,7 @@ pub const SEED_TX: TxId = TxId {
 /// A replica-local multi-version store over the keys of the partitions the
 /// replica hosts.
 ///
-/// Keys are interned to dense [`Symbol`]s at seed time, so every lookup on
+/// Keys are interned to dense `Symbol`s at seed time, so every lookup on
 /// the hot read/certify/install paths is one integer hash-probe plus a
 /// dense-`Vec` index. Key iteration follows seed (insertion) order —
 /// deterministic, unlike the `HashMap` this replaced.
